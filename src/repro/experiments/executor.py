@@ -12,30 +12,34 @@ Two consumption styles:
 * :func:`execute_many` — returns the full result list in the order of its
   ``runs`` argument, for any worker count.
 * :func:`execute_stream` — a generator yielding ``(index, result)`` pairs in
-  *completion* order (via ``imap_unordered`` when parallel), calling an
-  optional ``progress(done, total)`` after each run.  Long sweeps stream
-  into chunked sinks without holding every result in memory, and the index
-  lets order-sensitive consumers reassemble the input order.
+  *completion* order when parallel, calling an optional
+  ``progress(done, total)`` after each run.  Long sweeps stream into
+  chunked sinks without holding every result in memory, and the index lets
+  order-sensitive consumers reassemble the input order.
 
-Worker pools are *warm*: the first parallel call forks a pool, and chained
-sweeps within the same process reuse it instead of re-forking — short
-repeated sweeps no longer pay a fork + import per call.  The pool is
-invalidated (and re-forked on next use) when the requested worker count or
-the scenario registry changes, and torn down at interpreter exit (or
-explicitly via :func:`shutdown_pool`).
+Parallel runs execute on one pool: plain ``multiprocessing.Process``
+workers, each on its own duplex pipe, multiplexed with ``connection.wait``.
+The parent can kill any worker, so the same pool carries the per-run
+watchdog and retry of :mod:`repro.experiments.resilience`, and a worker
+that dies loses only its in-flight run instead of hanging the stream.
+Each stream forks its own workers and stops them when it ends, so workers
+always see the scenario registry as it was when the stream started.
 """
 
 from __future__ import annotations
 
-import atexit
+import heapq
 import multiprocessing
 import sys
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass
+from multiprocessing import connection
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
-from repro.experiments.registry import get_scenario, registry_version
+from repro.errors import ConfigurationError, WorkerError
+from repro.experiments.registry import get_scenario
 from repro.experiments.sweep import RunSpec
 
 __all__ = [
@@ -80,7 +84,7 @@ def execute_run_captured(run: RunSpec) -> RunResult:
     builder rejects — comes back as ``{"error": {"type", "message"}}``
     instead of propagating.  Chaos campaigns deliberately sample
     configurations that kill the run; with plain :func:`execute_run` the
-    first such run would tear down the whole ``imap_unordered`` stream.
+    first such run would tear down the whole parallel stream.
     The captured dict is deterministic (exception type and message only),
     so campaign reports stay byte-identical across serial and parallel
     execution.
@@ -160,50 +164,11 @@ def run_with_stable_stack(fn: Callable[..., Any], *args: Any) -> Any:
     return box[0]
 
 
-def _execute_indexed(indexed: Tuple[int, RunSpec]) -> Tuple[int, RunResult]:
-    index, run = indexed
-    return index, execute_run(run)
-
-
-def _execute_indexed_captured(
-    indexed: Tuple[int, RunSpec]
-) -> Tuple[int, RunResult]:
-    index, run = indexed
-    return index, execute_run_captured(run)
-
-
-def _execute_stable(run: RunSpec) -> RunResult:
-    return run_with_stable_stack(execute_run, run)
-
-
-def _execute_stable_captured(run: RunSpec) -> RunResult:
-    return run_with_stable_stack(execute_run_captured, run)
-
-
-def _execute_indexed_stable(
-    indexed: Tuple[int, RunSpec]
-) -> Tuple[int, RunResult]:
-    index, run = indexed
-    return index, _execute_stable(run)
-
-
-def _execute_indexed_stable_captured(
-    indexed: Tuple[int, RunSpec]
-) -> Tuple[int, RunResult]:
-    index, run = indexed
-    return index, _execute_stable_captured(run)
-
-
-#: (capture_errors, stable_stack) -> (per-run executor, indexed executor).
-_EXECUTORS: Dict[
-    Tuple[bool, bool],
-    Tuple[Callable[[RunSpec], RunResult], Callable[..., Tuple[int, RunResult]]],
-] = {
-    (False, False): (execute_run, _execute_indexed),
-    (True, False): (execute_run_captured, _execute_indexed_captured),
-    (False, True): (_execute_stable, _execute_indexed_stable),
-    (True, True): (_execute_stable_captured, _execute_indexed_stable_captured),
-}
+def _execute(run: RunSpec, capture_errors: bool, stable_stack: bool) -> RunResult:
+    execute = execute_run_captured if capture_errors else execute_run
+    if stable_stack:
+        return run_with_stable_stack(execute, run)
+    return execute(run)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -216,76 +181,280 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-# The warm pool: one live Pool per process, keyed by (worker count, registry
-# version at fork time).  Chained sweeps with the same shape reuse it; the
-# active-stream refcount keeps a mid-stream pool from being torn down when a
-# differently-shaped stream starts concurrently (that stream gets a private,
-# stream-lifetime pool instead).
-_warm_pool: Optional[multiprocessing.pool.Pool] = None
-_warm_key: Optional[Tuple[int, int]] = None
-_warm_active = 0
-_atexit_registered = False
-
-
 def shutdown_pool() -> None:
-    """Tear down the warm worker pool (no-op when none is alive).
+    """Kept for embedders that reclaim workers explicitly; a no-op.
 
-    Called automatically at interpreter exit; exposed for tests and for
-    long-lived embedders that want to reclaim the workers earlier.  Any
-    execute_stream generator still consuming the pool is abandoned.
+    Every parallel stream forks its own workers and stops them when the
+    stream ends (exhausted, closed or garbage-collected), so no worker
+    outlives the stream that needed it.
     """
-    global _warm_pool, _warm_key, _warm_active
-    pool, _warm_pool, _warm_key, _warm_active = _warm_pool, None, None, 0
-    if pool is not None:
-        # terminate() rather than close(): an abandoned execute_stream
-        # generator may have left tasks queued that nobody will consume.
-        pool.terminate()
-        pool.join()
 
 
-def _checkout_pool(processes: int) -> Tuple[multiprocessing.pool.Pool, bool]:
-    """Return ``(pool, private)`` for one stream's lifetime.
+# ---------------------------------------------------------------------------
+# The worker pool
+# ---------------------------------------------------------------------------
 
-    The warm pool is reused when its key matches (several same-shape streams
-    may share it — ``imap_unordered`` jobs are independent) and re-forked
-    when it is stale *and idle*.  A stale pool with live consumers must not
-    be torn down under them, so a differently-shaped concurrent stream gets
-    a private pool that dies with the stream (``private=True``).
+#: Backoff before re-dispatching a run whose worker died: the ``k``-th retry
+#: waits ``_BACKOFF_BASE * _BACKOFF_FACTOR**(k-1)`` seconds, capped at
+#: ``_BACKOFF_MAX`` — wall-clock pacing only, results are unaffected.
+_BACKOFF_BASE = 0.05
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 2.0
+
+
+def _backoff(attempt: int) -> float:
+    """Seconds to wait before re-dispatching after ``attempt`` failures."""
+    return min(_BACKOFF_BASE * _BACKOFF_FACTOR ** max(0, attempt - 1),
+               _BACKOFF_MAX)
+
+
+def _worker_main(conn: Any, parent_end: Any, capture_errors: bool,
+                 stable_stack: bool) -> None:
+    """Worker loop: receive ``(index, run)`` tasks, send back results.
+
+    Runs until the parent closes the pipe or sends ``None``.  Exceptions a
+    run raises are shipped back as pickled objects when possible (so the
+    parent re-raises the original type) and as ``(name, text)`` otherwise;
+    a result that does not pickle is reported the same way, as the
+    pickling error.
     """
-    global _warm_pool, _warm_key, _warm_active, _atexit_registered
-    key = (processes, registry_version())
-    if _warm_pool is not None and _warm_key == key:
-        _warm_active += 1
-        return _warm_pool, False
-    if _warm_pool is not None and _warm_active > 0:
-        return _pool_context().Pool(processes=processes), True
-    shutdown_pool()
-    if not _atexit_registered:
-        _atexit_registered = True
-        atexit.register(shutdown_pool)
-    _warm_pool = _pool_context().Pool(processes=processes)
-    _warm_key = key
-    _warm_active = 1
-    return _warm_pool, False
+    # A forked worker inherits the parent's end of its own pipe.  Left open,
+    # it would keep the worker waiting forever once the parent dies, since
+    # the pipe would never reach end-of-file.
+    parent_end.close()
+    while True:
+        try:
+            task = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
+        if task is None:
+            return
+        index, run = task
+        try:
+            message: Tuple[Any, ...] = (
+                "ok", index, _execute(run, capture_errors, stable_stack)
+            )
+        except BaseException as exc:  # shipped to the parent, never lost
+            message = ("raise", index, exc)
+        try:
+            conn.send(message)
+        except (BrokenPipeError, OSError):
+            return
+        except Exception as error:  # the result or exception did not pickle
+            failed = message[2] if message[0] == "raise" else error
+            conn.send(("raise-text", index, type(failed).__name__, str(failed)))
 
 
-def _release_pool(
-    pool: multiprocessing.pool.Pool, private: bool, completed: bool
-) -> None:
-    global _warm_active
-    if private:
-        pool.terminate()
-        pool.join()
+class _PoolWorker:
+    """One kill-capable worker process plus its duplex pipe and state."""
+
+    def __init__(self, ctx: Any, capture_errors: bool,
+                 stable_stack: bool) -> None:
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        self.conn = parent_conn
+        self.process = ctx.Process(
+            target=_worker_main,
+            args=(child_conn, parent_conn, capture_errors, stable_stack),
+            daemon=True, name="repro-worker",
+        )
+        self.process.start()
+        child_conn.close()
+        self.task: Optional[Tuple[int, RunSpec]] = None
+        self.deadline: Optional[float] = None
+
+    def assign(self, task: Tuple[int, RunSpec],
+               run_timeout: Optional[float]) -> None:
+        self.conn.send(task)
+        self.task = task
+        self.deadline = (
+            time.monotonic() + run_timeout if run_timeout is not None else None
+        )
+
+    def kill(self) -> None:
+        if self.process.is_alive():
+            self.process.kill()
+        self.process.join()
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+    def stop(self) -> None:
+        """Polite shutdown for idle workers; kill() for busy/hung ones."""
+        if self.task is not None:
+            self.kill()
+            return
+        try:
+            self.conn.send(None)
+            self.conn.close()
+        except (BrokenPipeError, OSError):
+            pass
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():  # pragma: no cover - defensive
+            self.process.kill()
+            self.process.join()
+
+
+def _error_result(run: RunSpec, error: Dict[str, Any]) -> RunResult:
+    """A captured-error result shaped like :func:`execute_run_captured`'s."""
+    return RunResult(
+        scenario=run.scenario,
+        params=run.params,
+        result={"scenario": run.scenario, "error": error},
+    )
+
+
+def _watchdog_result(run: RunSpec, run_timeout: float) -> RunResult:
+    # Deterministic fields only: the configured timeout, not the measured
+    # wall time, so journaled/reported bytes are stable.
+    return _error_result(run, {
+        "type": "WatchdogTimeout",
+        "message": (f"run exceeded the per-run watchdog timeout "
+                    f"({run_timeout:g}s wall-clock) and was killed"),
+        "run_timeout": run_timeout,
+    })
+
+
+def _quarantine_result(run: RunSpec, attempts: int) -> RunResult:
+    return _error_result(run, {
+        "type": "WorkerCrashed",
+        "message": (f"worker process died executing this run "
+                    f"{attempts} time(s); configuration quarantined"),
+        "attempts": attempts,
+        "quarantined": True,
+    })
+
+
+def _execute_pending(
+    pending: List[Tuple[int, RunSpec]],
+    workers: int,
+    capture_errors: bool,
+    stable_stack: bool,
+    run_timeout: Optional[float] = None,
+    max_attempts: int = 1,
+    telemetry: Any = None,
+    quarantine: Any = None,
+) -> Iterator[Tuple[int, RunResult]]:
+    """Execute ``(index, run)`` pairs; yield ``(index, result)`` pairs.
+
+    With one worker and nothing to kill (no deadline, one attempt) the runs
+    execute here, in order.  Otherwise they go to a pool of kill-capable
+    worker processes, forked for this call and stopped when it ends, and
+    come back in completion order.  Every index is yielded exactly once: as
+    its result, as a ``WatchdogTimeout`` error (hung past ``run_timeout``)
+    or as a ``WorkerCrashed`` error (its worker died ``max_attempts`` times;
+    recorded in ``quarantine``, a :class:`~repro.experiments.resilience.
+    Quarantine`, when one is given).  A worker death short of that
+    re-dispatches the lost run after an exponential backoff.  ``telemetry``
+    (a :class:`~repro.experiments.resilience.StreamTelemetry`, optional)
+    counts retries, timeouts and quarantined runs.
+    """
+    if (run_timeout is None and max_attempts == 1
+            and (workers == 1 or len(pending) <= 1)):
+        for index, run in pending:
+            yield index, _execute(run, capture_errors, stable_stack)
         return
-    if pool is _warm_pool:
-        # (An explicit shutdown_pool() mid-stream already zeroed the count.)
-        _warm_active = max(0, _warm_active - 1)
-        if not completed and _warm_active == 0:
-            # An abandoned stream leaves queued runs nobody will consume;
-            # match the old per-call-pool semantics and cancel them rather
-            # than burning CPU in the background.  (If another stream still
-            # shares the pool we must keep it alive; its orphans drain.)
-            shutdown_pool()
+    ctx = _pool_context()
+
+    def spawn() -> _PoolWorker:
+        return _PoolWorker(ctx, capture_errors, stable_stack)
+
+    queue: deque = deque(pending)
+    waiting: List[Tuple[float, int, RunSpec]] = []  # (ready_at, index, run)
+    attempts: Dict[int, int] = {}
+    pool = [spawn() for _ in range(max(1, min(workers, len(pending))))]
+
+    def fail(worker: _PoolWorker) -> Iterator[Tuple[int, RunResult]]:
+        """Handle a dead worker: respawn it, retry or quarantine its run."""
+        index, run = worker.task  # type: ignore[misc]
+        worker.kill()
+        pool[pool.index(worker)] = spawn()
+        made = attempts.get(index, 0) + 1
+        attempts[index] = made
+        if made >= max_attempts:
+            result = _quarantine_result(run, made)
+            if telemetry is not None:
+                telemetry.quarantined += 1
+            if quarantine is not None:
+                quarantine.record(index, run, made,
+                                  dict(result.result["error"]))
+            yield index, result
+        else:
+            if telemetry is not None:
+                telemetry.retries += 1
+            heapq.heappush(
+                waiting, (time.monotonic() + _backoff(made), index, run)
+            )
+
+    def dispatch() -> None:
+        """Queue the retries that are due; give every idle worker a run."""
+        now = time.monotonic()
+        while waiting and waiting[0][0] <= now:
+            _, index, run = heapq.heappop(waiting)
+            queue.append((index, run))
+        for worker in pool:
+            if worker.task is None and queue:
+                task = queue.popleft()
+                try:
+                    worker.assign(task, run_timeout)
+                except (BrokenPipeError, OSError):
+                    # Found dead at assignment (died after its last
+                    # result): respawn and requeue, not an attempt.
+                    worker.kill()
+                    pool[pool.index(worker)] = spawn()
+                    queue.appendleft(task)
+
+    try:
+        while queue or waiting or any(w.task is not None for w in pool):
+            dispatch()
+            busy = {worker.conn: worker for worker in pool
+                    if worker.task is not None}
+            if not busy:
+                if waiting:
+                    time.sleep(
+                        max(0.0, min(waiting[0][0] - time.monotonic(), 0.05))
+                    )
+                continue
+            tick = 0.1
+            deadlines = [w.deadline for w in busy.values()
+                         if w.deadline is not None]
+            if deadlines:
+                tick = min(tick, max(0.0, min(deadlines) - time.monotonic()))
+            if waiting:
+                tick = min(tick, max(0.0, waiting[0][0] - time.monotonic()))
+            finished: List[Tuple[int, RunResult]] = []
+            for conn in connection.wait(list(busy), timeout=tick):
+                worker = busy[conn]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    finished.extend(fail(worker))
+                    continue
+                worker.task = None
+                worker.deadline = None
+                if message[0] == "ok":
+                    finished.append((message[1], message[2]))
+                elif message[0] == "raise":
+                    raise message[2]
+                else:  # "raise-text": the original object did not pickle
+                    raise WorkerError(f"{message[2]}: {message[3]}")
+            now = time.monotonic()
+            for worker in list(pool):
+                if (worker.task is not None and worker.deadline is not None
+                        and now >= worker.deadline):
+                    index, run = worker.task
+                    worker.kill()
+                    pool[pool.index(worker)] = spawn()
+                    if telemetry is not None:
+                        telemetry.timeouts += 1
+                    finished.append((index, _watchdog_result(run, run_timeout)))
+            # Freed workers get their next run before the consumer spends
+            # its time on these results, so they do not sit idle meanwhile.
+            dispatch()
+            yield from finished
+    finally:
+        for worker in pool:
+            worker.stop()
 
 
 def execute_stream(
@@ -306,35 +475,22 @@ def execute_stream(
     — the mode chaos campaigns stream in, where lethal configurations are
     findings rather than failures.  ``stable_stack`` executes each run via
     :func:`run_with_stable_stack`, making recursion-limited trace tails
-    identical across serial and parallel execution.
+    identical across serial and parallel execution.  A parallel stream
+    whose worker process dies yields a ``WorkerCrashed`` error result for
+    the lost run; the workers are stopped when the stream ends.
     """
     run_list = list(runs)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    execute, execute_indexed = _EXECUTORS[(capture_errors, stable_stack)]
     total = len(run_list)
     done = 0
-    if workers == 1 or total <= 1:
-        for index, run in enumerate(run_list):
-            result = execute(run)
-            done += 1
-            if progress is not None:
-                progress(done, total)
-            yield index, result
-        return
-    pool, private = _checkout_pool(min(workers, total))
-    try:
-        for index, result in pool.imap_unordered(
-            execute_indexed, list(enumerate(run_list))
-        ):
-            done += 1
-            if progress is not None:
-                progress(done, total)
-            yield index, result
-    finally:
-        # Runs on exhaustion and on generator close/GC, so the refcount (or
-        # the private pool) is released even for abandoned streams.
-        _release_pool(pool, private, completed=done == total)
+    for index, result in _execute_pending(
+        list(enumerate(run_list)), workers, capture_errors, stable_stack
+    ):
+        done += 1
+        if progress is not None:
+            progress(done, total)
+        yield index, result
 
 
 def execute_many(

@@ -181,7 +181,7 @@ class Job:
 
 
 class ExperimentService:
-    """Job store + scheduler: multi-user submissions over one warm pool.
+    """Job store + scheduler: multi-user submissions, each job a resilient stream.
 
     ``workers`` is the default per-job executor parallelism;
     ``job_concurrency`` is how many jobs execute at once (each on its own

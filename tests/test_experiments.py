@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -601,114 +602,77 @@ class TestWorkloadSpecIntegration:
         assert dumps_json(serial) == dumps_json(parallel)
 
 
-class TestWarmPool:
-    """The executor keeps one worker pool alive across chained sweeps."""
+def _fresh_children(before):
+    """Child processes started since ``before`` that are still alive."""
+    started = [child for child in multiprocessing.active_children()
+               if child.pid not in before]
+    for child in started:
+        child.join(timeout=5.0)
+    return [child for child in started if child.is_alive()]
 
-    def test_pool_is_reused_across_calls(self):
+
+def _registered_between_streams(seed=0):
+    return {"seed": seed, "registered": True}
+
+
+class TestWorkerPool:
+    """Each parallel stream forks its own workers and stops them at its end."""
+
+    def test_serial_execution_never_forks_a_pool(self, monkeypatch):
         import repro.experiments.executor as executor_module
-        from repro.experiments.executor import shutdown_pool
 
+        def forbidden(*args, **kwargs):
+            raise AssertionError("serial execution started a worker")
+
+        monkeypatch.setattr(executor_module, "_PoolWorker", forbidden)
         runs = expand_grid(
             "quickstart",
             grid={"seed": [0, 1]},
             base={"workload.operations_per_client": 2},
         )
-        try:
-            first = execute_many(runs, workers=2)
-            pool_after_first = executor_module._warm_pool
-            second = execute_many(runs, workers=2)
-            pool_after_second = executor_module._warm_pool
-            assert pool_after_first is not None
-            assert pool_after_first is pool_after_second
-            assert dumps_json(first) == dumps_json(second)
-        finally:
-            shutdown_pool()
-            assert executor_module._warm_pool is None
+        assert len(execute_many(runs, workers=1)) == 2
+        assert len(execute_many(runs[:1], workers=2)) == 1
 
-    def test_pool_invalidated_by_worker_count_and_registry_changes(self):
-        import repro.experiments.executor as executor_module
-        from repro.experiments.executor import shutdown_pool
+    def test_interleaved_streams_with_different_shapes_both_complete(self):
+        # Two live streams with different worker counts each own their
+        # workers; finishing both leaves no child process behind.
+        before = {child.pid for child in multiprocessing.active_children()}
+        runs = expand_grid(
+            "quickstart",
+            grid={"seed": [0, 1]},
+            base={"workload.operations_per_client": 2},
+        )
+        first = execute_stream(runs, workers=2)
+        head_index, _ = next(first)  # first stream is now mid-consumption
+        second = execute_stream(runs, workers=3)
+        second_results = sorted(index for index, _ in second)
+        first_results = sorted([head_index] + [index for index, _ in first])
+        assert second_results == [0, 1]
+        assert first_results == [0, 1]
+        assert _fresh_children(before) == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="spawned workers do not see runtime registrations",
+    )
+    def test_scenario_registered_between_streams_is_visible(self):
         from repro.experiments.registry import register, unregister
 
         runs = expand_grid(
             "quickstart",
-            grid={"seed": [0, 1, 2]},
-            base={"workload.operations_per_client": 2},
-        )
-        try:
-            execute_many(runs, workers=2)
-            pool_two = executor_module._warm_pool
-            execute_many(runs, workers=3)
-            pool_three = executor_module._warm_pool
-            assert pool_two is not pool_three
-
-            # A registry change must re-fork, so workers see the new entry.
-            entry = FunctionScenario(lambda: {"ok": 1}, name="warm-pool-probe")
-            register(entry)
-            try:
-                execute_many(runs, workers=3)
-                assert executor_module._warm_pool is not pool_three
-            finally:
-                unregister("warm-pool-probe")
-        finally:
-            shutdown_pool()
-
-    def test_serial_execution_never_forks_a_pool(self):
-        import repro.experiments.executor as executor_module
-        from repro.experiments.executor import shutdown_pool
-
-        shutdown_pool()
-        runs = expand_grid(
-            "quickstart",
-            grid={"seed": [0]},
-            base={"workload.operations_per_client": 2},
-        )
-        execute_many(runs, workers=1)
-        assert executor_module._warm_pool is None
-
-    def test_interleaved_streams_with_different_shapes_both_complete(self):
-        # A stream must never have its pool torn down by a concurrently
-        # started stream with a different worker count (or registry
-        # version): the second stream gets a private pool instead.
-        import repro.experiments.executor as executor_module
-        from repro.experiments.executor import execute_stream, shutdown_pool
-        from repro.experiments.sweep import expand_grid as grid
-
-        runs = grid(
-            "quickstart",
             grid={"seed": [0, 1]},
             base={"workload.operations_per_client": 2},
         )
+        assert len(execute_many(runs, workers=2)) == 2
+        register(FunctionScenario(_registered_between_streams,
+                                  name="registered-between-streams"))
         try:
-            first = execute_stream(runs, workers=2)
-            head_index, _ = next(first)  # first stream is now mid-consumption
-            second = execute_stream(runs, workers=3)
-            second_results = sorted(index for index, _ in second)
-            first_results = sorted(
-                [head_index] + [index for index, _ in first]
-            )
-            assert second_results == [0, 1]
-            assert first_results == [0, 1]
-            assert executor_module._warm_pool is not None
+            probes = expand_grid("registered-between-streams",
+                                 grid={"seed": [0, 1]})
+            results = execute_many(probes, workers=2)
         finally:
-            shutdown_pool()
-
-    def test_abandoned_stream_cancels_queued_runs(self):
-        # Closing a stream mid-consumption must tear the warm pool down (no
-        # orphaned runs burning CPU), matching the old per-call semantics.
-        import repro.experiments.executor as executor_module
-        from repro.experiments.executor import execute_stream, shutdown_pool
-        from repro.experiments.sweep import expand_grid as grid
-
-        runs = grid(
-            "quickstart",
-            grid={"seed": [0, 1, 2, 3]},
-            base={"workload.operations_per_client": 2},
-        )
-        try:
-            stream = execute_stream(runs, workers=2)
-            next(stream)
-            stream.close()  # abandoned: generator finally must release
-            assert executor_module._warm_pool is None
-        finally:
-            shutdown_pool()
+            unregister("registered-between-streams")
+        assert [result.result for result in results] == [
+            {"seed": 0, "registered": True},
+            {"seed": 1, "registered": True},
+        ]

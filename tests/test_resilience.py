@@ -12,12 +12,16 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
 
 import pytest
 
 import repro.experiments.executor as executor_module
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkerError
 from repro.experiments import (
     INTERRUPT_EXIT_CODE,
     Quarantine,
@@ -33,7 +37,7 @@ from repro.experiments import (
     run_digest,
 )
 from repro.experiments.cli import main
-from repro.experiments.executor import execute_run_captured, shutdown_pool
+from repro.experiments.executor import execute_run_captured
 from repro.experiments.registry import FunctionScenario, register, unregister
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -67,6 +71,10 @@ def _die_unless_marked(seed=0, sentinel="", always=False):
     return {"ok": True, "seed": seed}
 
 
+def _unpicklable(seed=0):
+    return {"lock": threading.Lock(), "seed": seed}
+
+
 def _sigterm_once(seed=0, sentinel=""):
     if seed == 1 and sentinel and not os.path.exists(sentinel):
         with open(sentinel, "w", encoding="utf-8") as handle:
@@ -82,6 +90,7 @@ def misbehaving_scenarios():
         FunctionScenario(_hang_or_return, name="resilience-hang"),
         FunctionScenario(_die_unless_marked, name="resilience-die"),
         FunctionScenario(_sigterm_once, name="resilience-sigterm"),
+        FunctionScenario(_unpicklable, name="resilience-unpicklable"),
     ]
     for entry in entries:
         register(entry)
@@ -90,7 +99,6 @@ def misbehaving_scenarios():
     finally:
         for entry in entries:
             unregister(entry.name)
-        shutdown_pool()
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +204,15 @@ class TestPolicy:
             ResiliencePolicy(max_attempts=0).validate()
 
     def test_backoff_grows_and_caps(self):
-        policy = ResiliencePolicy(
-            max_attempts=5, backoff_base=0.1, backoff_factor=2.0,
-            backoff_max=0.3,
-        )
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(4) == pytest.approx(0.3)  # capped
+        base = executor_module._BACKOFF_BASE
+        factor = executor_module._BACKOFF_FACTOR
+        cap = executor_module._BACKOFF_MAX
+        backoff = executor_module._backoff
+        assert backoff(1) == pytest.approx(base)
+        assert backoff(2) == pytest.approx(base * factor)
+        assert backoff(3) == pytest.approx(base * factor ** 2)
+        assert backoff(100) == pytest.approx(cap)  # capped
+        assert base < base * factor < cap
 
     def test_default_policy_is_inert(self):
         assert not ResiliencePolicy().needs_pool
@@ -215,14 +225,18 @@ class TestPolicy:
             grid={"seed": [0, 1]},
             base={"workload.operations_per_client": 2},
         )
-        plain = sorted(
-            (index, result.result) for index, result in execute_stream(runs)
-        )
-        resilient = sorted(
-            (index, result.result)
-            for index, result in execute_stream_resilient(runs)
-        )
-        assert plain == resilient
+        for workers in (1, 2):
+            plain = sorted(
+                (index, result.result)
+                for index, result in execute_stream(runs, workers=workers)
+            )
+            resilient = sorted(
+                (index, result.result)
+                for index, result in execute_stream_resilient(
+                    runs, workers=workers
+                )
+            )
+            assert plain == resilient
 
 
 class TestTelemetry:
@@ -351,7 +365,7 @@ class TestRetryAndQuarantine:
         telemetry = StreamTelemetry()
         results = dict(execute_stream_resilient(
             runs, workers=1,
-            policy=ResiliencePolicy(max_attempts=3, backoff_base=0.01),
+            policy=ResiliencePolicy(max_attempts=3),
             telemetry=telemetry,
         ))
         assert telemetry.retries == 1
@@ -371,7 +385,7 @@ class TestRetryAndQuarantine:
         quarantine = Quarantine(quarantine_path)
         results = dict(execute_stream_resilient(
             runs, workers=2,
-            policy=ResiliencePolicy(max_attempts=2, backoff_base=0.01),
+            policy=ResiliencePolicy(max_attempts=2),
             telemetry=telemetry, quarantine=quarantine,
         ))
         quarantine.close()
@@ -398,15 +412,31 @@ class TestRetryAndQuarantine:
         assert not os.path.exists(path)
         assert load_quarantine(path) == []
 
-    def test_abandoned_resilient_stream_stops_workers(
+    def test_unpicklable_result_raises_instead_of_quarantining(
         self, misbehaving_scenarios
+    ):
+        # The run itself succeeded; only shipping its result failed.  That
+        # is a bug in the scenario, not a crashed worker.
+        runs = [RunSpec("resilience-unpicklable", params=(("seed", seed),))
+                for seed in range(2)]
+        telemetry = StreamTelemetry()
+        with pytest.raises(WorkerError, match="pickle"):
+            list(execute_stream_resilient(
+                runs, workers=2, policy=ResiliencePolicy(run_timeout=30.0),
+                telemetry=telemetry,
+            ))
+        assert telemetry.quarantined == 0
+
+    @pytest.mark.parametrize("policy", [
+        ResiliencePolicy(), ResiliencePolicy(run_timeout=30.0),
+    ], ids=["inert", "active"])
+    def test_abandoned_resilient_stream_stops_workers(
+        self, misbehaving_scenarios, policy
     ):
         before = {child.pid for child in multiprocessing.active_children()}
         runs = [RunSpec("resilience-ok", params=(("seed", seed),))
                 for seed in range(4)]
-        stream = execute_stream_resilient(
-            runs, workers=2, policy=ResiliencePolicy(run_timeout=30.0),
-        )
+        stream = execute_stream_resilient(runs, workers=2, policy=policy)
         next(stream)
         stream.close()  # generator finally must stop the pool workers
         leaked = [
@@ -418,58 +448,89 @@ class TestRetryAndQuarantine:
         assert not any(child.is_alive() for child in leaked)
 
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        # The parent takes one result and then stalls with both workers
+        # idle; once it is SIGKILLed, they must see the pipe close and exit.
+        script = textwrap.dedent("""
+            import os, sys, time
+            from repro.experiments import RunSpec, execute_stream
+            from repro.experiments.registry import FunctionScenario, register
+
+            def record_pid(seed=0):
+                path = os.path.join(sys.argv[1], "%d.pid" % seed)
+                with open(path, "w") as handle:
+                    handle.write(str(os.getpid()))
+                return {"seed": seed}
+
+            register(FunctionScenario(record_pid, name="record-pid"))
+            runs = [RunSpec("record-pid", params=(("seed", s),))
+                    for s in range(2)]
+            stream = execute_stream(runs, workers=2)
+            next(stream)
+            open(os.path.join(sys.argv[1], "ready"), "w").close()
+            time.sleep(60)
+        """)
+        parent = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)])
+        try:
+            deadline = time.monotonic() + 30.0
+            while not (tmp_path / "ready").exists():
+                assert time.monotonic() < deadline, "parent never got ready"
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait(timeout=10.0)
+        pids = [int(path.read_text()) for path in tmp_path.glob("*.pid")]
+        assert len(pids) == 2
+
+        def alive(pid):
+            try:
+                with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+                    return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 10.0
+        while any(alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in pids if alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+
+
 # ---------------------------------------------------------------------------
-# The warm pool keeps its contract around the resilience layer
+# The worker pool keeps its contract around the resilience layer
 # ---------------------------------------------------------------------------
+
+
+def _report_pid(seed=0):
+    return {"seed": seed, "pid": os.getpid()}
 
 
 @needs_fork
 class TestWarmPoolSharing:
-    def test_same_shape_concurrent_streams_share_the_warm_pool(self):
-        runs = expand_grid(
-            "quickstart",
-            grid={"seed": [0, 1]},
-            base={"workload.operations_per_client": 2},
-        )
-        try:
-            first = execute_stream(runs, workers=2)
-            first_head = next(first)
-            pool = executor_module._warm_pool
-            assert pool is not None
-            second = execute_stream(runs, workers=2)
-            second_head = next(second)
-            # Same (workers, registry) shape: one shared pool, refcounted.
-            assert executor_module._warm_pool is pool
-            assert executor_module._warm_active == 2
-            rest = sorted([first_head[0]] + [i for i, _ in first])
-            rest_second = sorted([second_head[0]] + [i for i, _ in second])
-            assert rest == rest_second == [0, 1]
-            assert executor_module._warm_pool is pool  # still warm
-            assert executor_module._warm_active == 0
-        finally:
-            shutdown_pool()
-
     def test_inert_resilient_stream_uses_the_warm_pool(self):
-        runs = expand_grid(
-            "quickstart",
-            grid={"seed": [0, 1]},
-            base={"workload.operations_per_client": 2},
-        )
+        # An inert policy at workers=2 dispatches to the same per-stream
+        # worker pool as execute_stream: runs execute in child processes,
+        # and those children are gone once the stream is exhausted.
+        before = {child.pid for child in multiprocessing.active_children()}
+        register(FunctionScenario(_report_pid, name="resilience-pid"))
         try:
-            list(execute_stream_resilient(runs, workers=2))
-            assert executor_module._warm_pool is not None
+            runs = [RunSpec("resilience-pid", params=(("seed", seed),))
+                    for seed in range(4)]
+            results = dict(execute_stream_resilient(runs, workers=2))
         finally:
-            shutdown_pool()
-
-    def test_resilient_pool_does_not_touch_the_warm_pool(
-        self, misbehaving_scenarios
-    ):
-        shutdown_pool()
-        runs = [RunSpec("resilience-ok", params=(("seed", 0),))]
-        list(execute_stream_resilient(
-            runs, workers=2, policy=ResiliencePolicy(run_timeout=30.0),
-        ))
-        assert executor_module._warm_pool is None
+            unregister("resilience-pid")
+        assert sorted(results) == [0, 1, 2, 3]
+        pids = {result.result["pid"] for result in results.values()}
+        assert os.getpid() not in pids
+        assert 1 <= len(pids) <= 2
+        leaked = [
+            child for child in multiprocessing.active_children()
+            if child.pid not in before
+        ]
+        assert not any(child.is_alive() for child in leaked)
 
 
 # ---------------------------------------------------------------------------
