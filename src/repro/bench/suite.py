@@ -9,10 +9,10 @@ the kernel benchmark, and one for the trace-analytics layer:
   dispatch throughput ceiling.
 * ``event-loop-obs`` — the same workload with a metrics-collecting
   :class:`~repro.obs.Observer` installed.  Comparing its events/sec
-  against ``event-loop`` measures the *enabled* observability overhead;
-  the disabled overhead is gated separately (the plain ``event-loop``
-  benchmark runs the untouched dispatch loop — ``SimLoop`` checks for an
-  observer once per ``run`` call, not per event).
+  against ``event-loop`` measures the *enabled* observability overhead.
+  Both run the same dispatch loop, which counts ready/heap hits either
+  way; the kernel hands those counts to the observer once per ``run``
+  call, not per event.
 * ``abd-round`` — protocol traffic: closed-loop read/write rounds of the
   classical ABD register over a majority quorum system, exercising the
   network send/deliver path, response collectors and latency summaries.

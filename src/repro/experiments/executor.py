@@ -135,12 +135,13 @@ def run_with_stable_stack(fn: Callable[..., Any], *args: Any) -> Any:
     A run that recurses to the interpreter's limit (the documented
     weight-gain refresh churn does, under sustained transfer load) aborts at
     a depth that depends on how deep the *caller's* stack already is — so
-    the same run produces a longer trace at the REPL top level than inside
-    a worker process or a test harness.  Results are unaffected (the abort
-    lands in the post-report settle phase), but byte-identical *traces*
-    across serial/parallel execution need a stable starting depth.  A fresh
-    thread starts from a constant base depth, and pinning the recursion
-    limit removes the embedder's ``sys.setrecursionlimit`` as a variable.
+    the same run produces a different trace, and can produce different
+    results, at the REPL top level than inside a worker process or a test
+    harness (the weight-gain refresh fix on the ROADMAP removes that
+    dependence).  Byte-identical results and traces across serial/parallel
+    execution therefore need a stable starting depth.  A fresh thread
+    starts from a constant base depth, and pinning the recursion limit
+    removes the embedder's ``sys.setrecursionlimit`` as a variable.
     Exceptions propagate unchanged.
     """
     box: List[Any] = []

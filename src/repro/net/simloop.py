@@ -302,8 +302,9 @@ class SimLoop:
         #: counter: same run -> same count; the bench harness reports it).
         self.events_processed = 0
         #: Ambient observer captured at construction (None = observability
-        #: off).  Checked once per run()/run_until_complete() call — not per
-        #: event — so the disabled-mode dispatch loops stay untouched.
+        #: off).  The dispatch loops count ready/heap hits either way and
+        #: hand the totals to it once, when each run()/run_until_complete()
+        #: call exits.
         self.obs = current_observer()
 
     # -- clock ---------------------------------------------------------------
@@ -406,59 +407,10 @@ class SimLoop:
             target = awaitable
         else:
             target = self.create_task(awaitable)
-        if self.obs is not None:
-            return self._run_target_observed(target, max_time)
-
-        # Inlined dispatch (see _pop_and_run_one): this loop is the hot path
-        # of every run, so it binds the stores once and only computes the
-        # time-budget check on heap dispatches (ready events run at `now`,
-        # which already passed the check when it was reached).
-        events = self._events
-        ready = self._ready
-        heappop = heapq.heappop
-        processed = 0
-        try:
-            # target._state is only ever rebound to the module-level state
-            # constants, so the string comparison is an identity fast path.
-            while target._state == _PENDING:
-                if ready and (
-                    not events
-                    or events[0][0] > self._now
-                    or events[0][1] > ready[0][0]
-                ):
-                    _seq, callback, args = ready.popleft()
-                elif events:
-                    when = events[0][0]
-                    if max_time is not None and when > max_time:
-                        raise SimTimeoutError(
-                            f"virtual-time budget {max_time} exhausted "
-                            f"(next event at {when})"
-                        )
-                    when, _seq, callback, args = heappop(events)
-                    self._now = when
-                else:
-                    raise DeadlockError(
-                        f"simulation deadlocked at t={self._now}: "
-                        f"no pending events but {target.name!r} is not done"
-                    )
-                processed += 1
-                callback(*args)
-        finally:
-            self.events_processed += processed
-            SimLoop.total_events_processed += processed
-        return target.result()
-
-    def _run_target_observed(
-        self, target: SimFuture, max_time: Optional[VirtualTime]
-    ) -> Any:
-        """Observed twin of the :meth:`run_until_complete` dispatch loop.
-
-        Same ordering, same error behaviour; additionally splits the dispatch
-        count into ready-deque vs heap hits, tracks the peak queue depth, and
-        folds the totals into the observer at loop exit.  Kept as a separate
-        copy so the disabled-mode loop carries zero per-event overhead.
-        """
-        obs = self.obs
+        # Both dispatch loops stay inline in their entry point: a shared helper
+        # frame would change the results of runs that hit the recursion limit.
+        # The time-budget check only runs on heap dispatches: ready events
+        # run at `now`, which already passed the check when it was reached.
         events = self._events
         ready = self._ready
         heappop = heapq.heappop
@@ -466,6 +418,8 @@ class SimLoop:
         heap_hits = 0
         max_depth = 0
         try:
+            # target._state is only ever rebound to the module-level state
+            # constants, so the string comparison is an identity fast path.
             while target._state == _PENDING:
                 depth = len(events) + len(ready)
                 if depth > max_depth:
@@ -494,10 +448,7 @@ class SimLoop:
                     )
                 callback(*args)
         finally:
-            processed = ready_hits + heap_hits
-            self.events_processed += processed
-            SimLoop.total_events_processed += processed
-            obs.kernel_run(ready_hits, heap_hits, max_depth)
+            self._end_dispatch(ready_hits, heap_hits, max_depth)
         return target.result()
 
     def run(self, until: Optional[VirtualTime] = None) -> VirtualTime:
@@ -505,40 +456,9 @@ class SimLoop:
 
         Returns the virtual time at which the loop stopped.  Unlike
         :meth:`run_until_complete` this never raises on an empty queue — it
-        is the natural way to "let the system settle".
+        is the natural way to "let the system settle".  The clock never
+        moves backward: an ``until`` earlier than ``now`` leaves it as is.
         """
-        if self.obs is not None:
-            return self._run_observed(until)
-        events = self._events
-        ready = self._ready
-        heappop = heapq.heappop
-        processed = 0
-        try:
-            while events or ready:
-                if ready and (
-                    not events
-                    or events[0][0] > self._now
-                    or events[0][1] > ready[0][0]
-                ):
-                    _seq, callback, args = ready.popleft()
-                elif until is not None and events[0][0] > until:
-                    self._now = until
-                    return self._now
-                else:
-                    when, _seq, callback, args = heappop(events)
-                    self._now = when
-                processed += 1
-                callback(*args)
-        finally:
-            self.events_processed += processed
-            SimLoop.total_events_processed += processed
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
-
-    def _run_observed(self, until: Optional[VirtualTime]) -> VirtualTime:
-        """Observed twin of the :meth:`run` dispatch loop (see above)."""
-        obs = self.obs
         events = self._events
         ready = self._ready
         heappop = heapq.heappop
@@ -558,21 +478,27 @@ class SimLoop:
                     _seq, callback, args = ready.popleft()
                     ready_hits += 1
                 elif until is not None and events[0][0] > until:
-                    self._now = until
-                    return self._now
+                    break
                 else:
                     when, _seq, callback, args = heappop(events)
                     self._now = when
                     heap_hits += 1
                 callback(*args)
         finally:
-            processed = ready_hits + heap_hits
-            self.events_processed += processed
-            SimLoop.total_events_processed += processed
-            obs.kernel_run(ready_hits, heap_hits, max_depth)
+            self._end_dispatch(ready_hits, heap_hits, max_depth)
         if until is not None and until > self._now:
             self._now = until
         return self._now
+
+    def _end_dispatch(
+        self, ready_hits: int, heap_hits: int, max_depth: int
+    ) -> None:
+        """Fold one dispatch loop's counts into the totals and the observer."""
+        processed = ready_hits + heap_hits
+        self.events_processed += processed
+        SimLoop.total_events_processed += processed
+        if self.obs is not None:
+            self.obs.kernel_run(ready_hits, heap_hits, max_depth)
 
     def pending_event_count(self) -> int:
         """Number of not-yet-processed events (useful for tests)."""

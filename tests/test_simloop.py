@@ -162,6 +162,18 @@ class TestSimLoopBasics:
         assert loop.run(until=10.0) == 10.0
         assert seen == ["a"]
 
+    def test_run_until_earlier_bound_never_moves_clock_backward(self):
+        loop = SimLoop()
+        seen = []
+        loop.call_at(5.0, lambda: seen.append("a"))
+        loop.call_at(10.0, lambda: seen.append("b"))
+        assert loop.run(until=6.0) == 6.0
+        assert loop.run(until=2.0) == 6.0
+        assert loop.now == 6.0
+        assert seen == ["a"]
+        loop.run()
+        assert seen == ["a", "b"] and loop.now == 10.0
+
     def test_run_drains_everything_without_bound(self):
         loop = SimLoop()
         seen = []
