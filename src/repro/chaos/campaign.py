@@ -295,11 +295,10 @@ def run_campaign(
             baseline_trace_records = baseline_record["trace_records"]
         else:
             baseline_path = os.path.join(trace_dir, "baseline.jsonl")
-            # Stable-stack execution everywhere: recursion-limited trace
-            # tails (weight-gain refresh churn) otherwise depend on the
-            # caller's stack depth, which would break the serial==parallel
-            # byte-identity of the report and its reproducibility from
-            # tests vs the CLI.
+            # The same pinned stack the executor runs every config on:
+            # recursion-limited trace tails (weight-gain refresh churn)
+            # otherwise depend on the caller's stack depth, which would
+            # break the report's reproducibility from tests vs the CLI.
             baseline_result = run_with_stable_stack(
                 execute_run, _traced(RunSpec(scenario=scenario), baseline_path)
             ).result
@@ -347,7 +346,7 @@ def run_campaign(
         ]
         for sub_index, result in execute_stream_resilient(
             traced_pending, workers=workers,
-            capture_errors=True, stable_stack=True,
+            capture_errors=True,
             policy=policy, quarantine=quarantine, telemetry=telemetry,
         ):
             index = index_map[sub_index]

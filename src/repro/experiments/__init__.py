@@ -69,7 +69,6 @@ from repro.experiments.sections import SpecSection, unflatten
 from repro.experiments.spec import (
     ArrivalSpec,
     ClusterSpec,
-    FailureSpec,
     FaultSpec,
     KeySpec,
     LatencySpec,
@@ -103,7 +102,6 @@ __all__ = [
     "MonitoringSpec",
     "PolicySpec",
     "FaultSpec",
-    "FailureSpec",
     "PartitionSpec",
     "TransferEvent",
     "run_spec",

@@ -6,10 +6,10 @@ dynamic-storage-vs-reconfiguration — together with a set of declarative
 storage workloads (quickstart, static baselines, crash resilience).
 
 The function scenarios here are the single source of truth for the
-corresponding ``benchmarks/bench_*.py`` modules, which are now thin wrappers
-that execute a registered scenario and assert the paper's shape claims on
-its result dict.  Everything a scenario returns is JSON-serialisable, so the
-sweep engine, the result sinks and the CLI can all consume it unchanged.
+paper's experiments: ``tests/test_paper_claims.py`` executes them and
+asserts the paper's shape claims on their result dicts.  Everything a
+scenario returns is JSON-serialisable, so the sweep engine, the result
+sinks and the CLI can all consume it unchanged.
 """
 
 from __future__ import annotations

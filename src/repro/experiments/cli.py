@@ -39,8 +39,7 @@ Subcommands:
   (``--check`` gates against a committed sha256 file), ``check``
   (structural/semantic invariants), ``critical-path`` (causal-graph
   latency attribution), ``diff`` (first-divergence finder between two
-  traces), ``series`` (windowed virtual-time counters).  ``trace FILE``
-  without a subcommand is shorthand for ``trace summary FILE``.
+  traces), ``series`` (windowed virtual-time counters).
 
 Parameter values (``-p key=value`` and grid axis values) are parsed with
 ``ast.literal_eval`` and fall back to plain strings, so ``-p seed=3``,
@@ -1040,8 +1039,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="aggregate summary + digest (optionally export to Chrome)",
         description="Print an aggregate summary (per-category/per-name "
         "counts, span totals, digest), optionally exporting the trace to "
-        "the Chrome trace_event format for https://ui.perfetto.dev.  "
-        "`python -m repro trace FILE` is shorthand for this subcommand.",
+        "the Chrome trace_event format for https://ui.perfetto.dev.",
     )
     p_summary.add_argument("trace_file", help="JSONL trace to summarise")
     p_summary.add_argument("--export", metavar="PATH",
@@ -1143,27 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: ``trace`` subcommand names, used by the backwards-compatibility shim in
-#: :func:`main` — ``python -m repro trace FILE`` predates the subcommands
-#: and still works as shorthand for ``trace summary FILE``.
-_TRACE_SUBCOMMANDS = frozenset(
-    {"summary", "digest", "check", "critical-path", "diff", "series"}
-)
-
-
-def _normalise_argv(argv: Sequence[str]) -> List[str]:
-    """Insert ``summary`` into legacy ``trace FILE`` invocations."""
-    argv = list(argv)
-    if (
-        len(argv) >= 2
-        and argv[0] == "trace"
-        and argv[1] not in _TRACE_SUBCOMMANDS
-        and not argv[1].startswith("-")
-    ):
-        argv.insert(1, "summary")
-    return argv
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit status.
 
@@ -1172,7 +1149,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     was flushed, rerun with ``--resume`` to continue).
     """
     parser = build_parser()
-    args = parser.parse_args(_normalise_argv(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except GracefulInterrupt as interrupt:

@@ -1,11 +1,14 @@
 """Serial and parallel execution of run specs.
 
 Every run is deterministic in *virtual* time (the simulation kernel is a
-seeded, single-threaded event queue), so fanning runs out across
-``multiprocessing`` workers changes wall-clock time only: the results are
-bit-identical to a serial execution regardless of scheduling.  That property
-is what makes the parallel executor safe to use for paper-style sweeps —
-and it is asserted by the test-suite.
+seeded, single-threaded event queue), and every run executes on a pinned
+thread with a pinned recursion limit (:func:`run_with_stable_stack`), in
+this process or in a worker.  So each run starts from the same stack depth
+wherever it executes, and fanning runs out across ``multiprocessing``
+workers changes wall-clock time only: the results are bit-identical to a
+serial execution regardless of scheduling, even for runs that recurse to
+the limit.  That property is what makes the parallel executor safe to use
+for paper-style sweeps — and it is asserted by the test-suite.
 
 Two consumption styles:
 
@@ -30,9 +33,11 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
+import queue
 import sys
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection
@@ -124,52 +129,92 @@ def execute_run_captured(run: RunSpec) -> RunResult:
         )
 
 
-#: Python recursion limit inside stable-stack threads: the CPython default,
-#: pinned so an embedder's own limit cannot move the abort point either.
+#: Python recursion limit on the pinned thread: the CPython default, pinned
+#: so an embedder's own limit cannot move the abort point either.
 _STABLE_STACK_LIMIT = 1000
 
 
-def run_with_stable_stack(fn: Callable[..., Any], *args: Any) -> Any:
-    """Call ``fn(*args)`` on a fresh thread with a pinned recursion limit.
+def _pinned_main(inbox: "queue.SimpleQueue", outbox: "queue.SimpleQueue") -> None:
+    """Body of a pinned thread: run each ``(fn, args)`` call it is sent.
 
-    A run that recurses to the interpreter's limit (the documented
-    weight-gain refresh churn does, under sustained transfer load) aborts at
-    a depth that depends on how deep the *caller's* stack already is — so
-    the same run produces a different trace, and can produce different
-    results, at the REPL top level than inside a worker process or a test
-    harness (the weight-gain refresh fix on the ROADMAP removes that
-    dependence).  Byte-identical results and traces across serial/parallel
-    execution therefore need a stable starting depth.  A fresh thread
-    starts from a constant base depth, and pinning the recursion limit
-    removes the embedder's ``sys.setrecursionlimit`` as a variable.
-    Exceptions propagate unchanged.
+    Every call starts from this frame, so from the same depth: the thread's
+    own base frames plus this one, wherever the caller stands.  ``None``
+    ends the thread.
     """
-    box: List[Any] = []
-    error: List[BaseException] = []
-
-    def target() -> None:
+    while True:
+        task = inbox.get()
+        if task is None:
+            return
+        fn, args = task
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_STABLE_STACK_LIMIT)
         try:
-            box.append(fn(*args))
+            outbox.put((True, fn(*args)))
         except BaseException as exc:  # re-raised on the calling thread
-            error.append(exc)
+            outbox.put((False, exc))
         finally:
             sys.setrecursionlimit(limit)
 
-    thread = threading.Thread(target=target, name="repro-stable-stack")
-    thread.start()
-    thread.join()
-    if error:
-        raise error[0]
-    return box[0]
+
+class _PinnedThread:
+    """One calling thread's pinned thread, ended when this handle is freed."""
+
+    def __init__(self) -> None:
+        self.inbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        self.outbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        self.thread = threading.Thread(
+            target=_pinned_main, args=(self.inbox, self.outbox),
+            name="repro-stable-stack", daemon=True,
+        )
+        self.thread.start()
+        weakref.finalize(self, self.inbox.put, None)
 
 
-def _execute(run: RunSpec, capture_errors: bool, stable_stack: bool) -> RunResult:
+#: Each calling thread's :class:`_PinnedThread`; dropped with the caller.
+_callers = threading.local()
+
+
+def run_with_stable_stack(fn: Callable[..., Any], *args: Any) -> Any:
+    """Call ``fn(*args)`` on a pinned thread with a pinned recursion limit.
+
+    This is how every run executes: the executor calls it for each run,
+    serial or parallel, and chaos campaigns call it for their baseline.
+    A run that recurses to the interpreter's limit (the documented
+    weight-gain refresh churn does, under sustained transfer load) aborts at
+    a depth that depends on how deep the *caller's* stack already is — so
+    the same run called directly produces a different trace, and can
+    produce different results, at the REPL top level than inside a worker
+    process or a test harness (the weight-gain refresh fix on the ROADMAP
+    removes that dependence).  Each calling thread gets one long-lived
+    thread that starts every call from the same base depth, and pinning
+    the recursion limit removes the embedder's ``sys.setrecursionlimit`` as
+    a variable, so a run gives the same results and trace wherever it
+    executes.  Reusing the thread saves a thread start per run.
+    Exceptions propagate unchanged.
+
+    The thread is a daemon: a signal handler that raises in the calling
+    thread (a sweep's graceful SIGINT/SIGTERM) interrupts the wait at once,
+    and the still-running call cannot hold the process open at exit.  The
+    caller's next call then gets a new thread.
+    """
+    pinned = getattr(_callers, "pinned", None)
+    # Not alive: this is a forked worker, and the thread stayed behind.
+    if pinned is None or not pinned.thread.is_alive():
+        pinned = _callers.pinned = _PinnedThread()
+    pinned.inbox.put((fn, args))
+    try:
+        ok, value = pinned.outbox.get()
+    except BaseException:
+        _callers.pinned = None  # still busy with this call
+        raise
+    if not ok:
+        raise value
+    return value
+
+
+def _execute(run: RunSpec, capture_errors: bool) -> RunResult:
     execute = execute_run_captured if capture_errors else execute_run
-    if stable_stack:
-        return run_with_stable_stack(execute, run)
-    return execute(run)
+    return run_with_stable_stack(execute, run)
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -209,8 +254,7 @@ def _backoff(attempt: int) -> float:
                _BACKOFF_MAX)
 
 
-def _worker_main(conn: Any, parent_end: Any, capture_errors: bool,
-                 stable_stack: bool) -> None:
+def _worker_main(conn: Any, parent_end: Any, capture_errors: bool) -> None:
     """Worker loop: receive ``(index, run)`` tasks, send back results.
 
     Runs until the parent closes the pipe or sends ``None``.  Exceptions a
@@ -232,9 +276,7 @@ def _worker_main(conn: Any, parent_end: Any, capture_errors: bool,
             return
         index, run = task
         try:
-            message: Tuple[Any, ...] = (
-                "ok", index, _execute(run, capture_errors, stable_stack)
-            )
+            message: Tuple[Any, ...] = ("ok", index, _execute(run, capture_errors))
         except BaseException as exc:  # shipped to the parent, never lost
             message = ("raise", index, exc)
         try:
@@ -249,13 +291,12 @@ def _worker_main(conn: Any, parent_end: Any, capture_errors: bool,
 class _PoolWorker:
     """One kill-capable worker process plus its duplex pipe and state."""
 
-    def __init__(self, ctx: Any, capture_errors: bool,
-                 stable_stack: bool) -> None:
+    def __init__(self, ctx: Any, capture_errors: bool) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, parent_conn, capture_errors, stable_stack),
+            args=(child_conn, parent_conn, capture_errors),
             daemon=True, name="repro-worker",
         )
         self.process.start()
@@ -330,7 +371,6 @@ def _execute_pending(
     pending: List[Tuple[int, RunSpec]],
     workers: int,
     capture_errors: bool,
-    stable_stack: bool,
     run_timeout: Optional[float] = None,
     max_attempts: int = 1,
     telemetry: Any = None,
@@ -353,12 +393,12 @@ def _execute_pending(
     if (run_timeout is None and max_attempts == 1
             and (workers == 1 or len(pending) <= 1)):
         for index, run in pending:
-            yield index, _execute(run, capture_errors, stable_stack)
+            yield index, _execute(run, capture_errors)
         return
     ctx = _pool_context()
 
     def spawn() -> _PoolWorker:
-        return _PoolWorker(ctx, capture_errors, stable_stack)
+        return _PoolWorker(ctx, capture_errors)
 
     queue: deque = deque(pending)
     waiting: List[Tuple[float, int, RunSpec]] = []  # (ready_at, index, run)
@@ -463,7 +503,6 @@ def execute_stream(
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
     capture_errors: bool = False,
-    stable_stack: bool = False,
 ) -> Iterator[Tuple[int, RunResult]]:
     """Yield ``(input_index, result)`` pairs as runs complete.
 
@@ -474,9 +513,8 @@ def execute_stream(
     raising :class:`~repro.errors.ReproError` yields an ``{"error": ...}``
     result instead of killing the stream (see :func:`execute_run_captured`)
     — the mode chaos campaigns stream in, where lethal configurations are
-    findings rather than failures.  ``stable_stack`` executes each run via
-    :func:`run_with_stable_stack`, making recursion-limited trace tails
-    identical across serial and parallel execution.  A parallel stream
+    findings rather than failures.  Every run executes via
+    :func:`run_with_stable_stack`, serial or parallel.  A parallel stream
     whose worker process dies yields a ``WorkerCrashed`` error result for
     the lost run; the workers are stopped when the stream ends.
     """
@@ -486,7 +524,7 @@ def execute_stream(
     total = len(run_list)
     done = 0
     for index, result in _execute_pending(
-        list(enumerate(run_list)), workers, capture_errors, stable_stack
+        list(enumerate(run_list)), workers, capture_errors
     ):
         done += 1
         if progress is not None:
@@ -499,7 +537,6 @@ def execute_many(
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
     capture_errors: bool = False,
-    stable_stack: bool = False,
 ) -> List[RunResult]:
     """Execute every run, optionally fanning out across worker processes.
 
@@ -509,7 +546,7 @@ def execute_many(
     results: List[Optional[RunResult]] = [None] * len(run_list)
     for index, result in execute_stream(
         run_list, workers=workers, progress=progress,
-        capture_errors=capture_errors, stable_stack=stable_stack,
+        capture_errors=capture_errors,
     ):
         results[index] = result
     return [result for result in results if result is not None]

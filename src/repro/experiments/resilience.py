@@ -370,7 +370,6 @@ def execute_stream_resilient(
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
     capture_errors: bool = False,
-    stable_stack: bool = False,
     policy: Optional[ResiliencePolicy] = None,
     journal: Optional[RunJournal] = None,
     quarantine: Optional[Quarantine] = None,
@@ -433,7 +432,7 @@ def execute_stream_resilient(
         else:
             pending.append((index, run))
     for index, result in _execute_pending(
-        pending, workers, capture_errors, stable_stack,
+        pending, workers, capture_errors,
         policy.run_timeout, policy.max_attempts, telemetry, quarantine,
     ):
         yield emit(index, run_list[index], result, fresh=True)

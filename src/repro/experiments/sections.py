@@ -120,14 +120,11 @@ class SpecSection:
 
     * ``_non_sweepable`` — field names excluded from :meth:`flatten` (e.g.
       the root spec's ``name``/``description``);
-    * ``_aliases`` — legacy key spellings accepted by :meth:`from_dict` and
-      dotted-path overrides (the ``failures`` → ``faults`` deprecation shim);
     * ``_validate()`` — per-section semantic checks, called by
       :meth:`validate` after the nested sections validated.
     """
 
     _non_sweepable: ClassVar[Tuple[str, ...]] = ()
-    _aliases: ClassVar[Dict[str, str]] = {}
 
     # -- serialization -----------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -153,21 +150,13 @@ class SpecSection:
         hints = _field_hints(cls)
         kwargs: Dict[str, Any] = {}
         for key in data:
-            name = cls._aliases.get(key, key)
-            if name not in field_names:
+            if key not in field_names:
                 raise ConfigurationError(
                     f"unknown key {key!r} for {cls.__name__} "
                     f"(known keys: {', '.join(sorted(field_names))})",
                     path=key,
                 )
-            if name in kwargs:
-                # An alias and its canonical spelling (or a duplicate via
-                # aliasing) must not silently overwrite each other.
-                raise ConfigurationError(
-                    f"duplicate key for {cls.__name__}.{name}: {key!r} "
-                    "collides with an earlier spelling of the same section"
-                )
-            kwargs[name] = _coerce(hints[name], data[key], f"{cls.__name__}.{key}")
+            kwargs[key] = _coerce(hints[key], data[key], f"{cls.__name__}.{key}")
         try:
             return cls(**kwargs)
         except TypeError as error:

@@ -101,7 +101,6 @@ __all__ = [
     "ObservabilitySpec",
     "PartitionSpec",
     "FaultSpec",
-    "FailureSpec",
     "TransferEvent",
     "ScenarioSpec",
     "run_spec",
@@ -719,9 +718,7 @@ class FaultSpec(SpecSection):
     server's instance in every shard (the machine hosting them); a
     qualified name (``s4#2``) targets one shard's instance only — the same
     *per-group targeting* rule latency slowdowns use, so fault scenarios
-    sweep over ``cluster.shards`` unchanged.  (``failures`` is accepted as
-    a legacy alias for this section in spec files and dotted override
-    paths.)
+    sweep over ``cluster.shards`` unchanged.
 
     Validation is strict and names the offending dotted path: malformed
     entries, negative times, a recovery scheduled at or before its crash
@@ -895,12 +892,6 @@ def _partition_window(window: PartitionSpec, shards: int):
     )
 
 
-# Deprecation shim: the pre-v2 name of the fault section.  ``FailureSpec(
-# crashes=...)`` keeps constructing, and ``failures.*`` override paths /
-# spec-file keys alias onto ``faults.*`` (see ScenarioSpec._aliases).
-FailureSpec = FaultSpec
-
-
 @dataclass(frozen=True)
 class TransferEvent(SpecSection):
     """A scheduled weight transfer: at ``at``, ``source`` sends ``delta`` to ``target``.
@@ -942,7 +933,6 @@ class ScenarioSpec(SpecSection):
     observability: ObservabilitySpec = ObservabilitySpec()
 
     _non_sweepable = ("name", "description")
-    _aliases = {"failures": "faults"}
 
     def _validate(self) -> None:
         if not self.name:
@@ -969,8 +959,6 @@ def _replace_path(obj: Any, full_key: str, parts: List[str], value: Any) -> Any:
         )
     field_names = {field.name for field in dataclasses.fields(obj)}
     head = parts[0]
-    if isinstance(obj, SpecSection):
-        head = type(obj)._aliases.get(head, head)
     if head not in field_names:
         raise ConfigurationError(
             f"unknown parameter {full_key!r}: {type(obj).__name__} has no field {head!r} "

@@ -5,6 +5,9 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import signal
+import threading
+import time
 
 import pytest
 
@@ -12,7 +15,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ArrivalSpec,
     ClusterSpec,
-    FailureSpec,
+    FaultSpec,
     KeySpec,
     LatencySpec,
     MixSpec,
@@ -42,6 +45,7 @@ from repro.experiments import (
     write_csv,
     write_json,
 )
+from repro.experiments.executor import run_with_stable_stack
 from repro.experiments.registry import FunctionScenario
 
 
@@ -172,7 +176,7 @@ class TestScenarioSpec:
             workload=WorkloadSpec(
                 operations_per_client=5, arrivals=ArrivalSpec(mean_think_time=2.0)
             ),
-            faults=FailureSpec(crashes=(("s5", 4.0),)),
+            faults=FaultSpec(crashes=(("s5", 4.0),)),
             # Stay above the RP-Integrity bound W_{S,0}/(2(n-f)) = 5/6.
             transfers=(TransferEvent(at=2.0, source="s1", target="s2", delta=0.15),),
             max_time=10_000.0,
@@ -260,6 +264,32 @@ class TestSweep:
 # ---------------------------------------------------------------------------
 
 
+#: ``perfbench/specs/reassign-monitored.json`` cut to 200 ops per client and
+#: 20 monitoring rounds: its weight-gain refresh chain reaches the recursion
+#: limit, so its results depend on the stack depth the run starts at.
+DEPTH_SENSITIVE_SPEC = {
+    "name": "test-depth-sensitive",
+    "cluster": {"flavour": "dynamic-weighted", "n": 5, "f": 1,
+                "client_count": 4},
+    "workload": {
+        "operations_per_client": 200,
+        "keys": {"kind": "hotspot", "space": 16,
+                 "hot_fraction": 0.25, "hot_weight": 0.9},
+        "arrivals": {"kind": "closed", "mean_think_time": 0.5},
+        "mix": {"read_ratio": 0.5},
+        "phases": [{"at": 1000.0, "overrides": [["keys.offset", 8]]}],
+    },
+    "latency": {"kind": "uniform", "low": 0.5, "high": 1.5,
+                "slow": ["s1", "s2"], "slow_factor": 6.0,
+                "slow_start": 1000.0},
+    "monitoring": {"enabled": True, "interval": 50.0, "rounds": 20,
+                   "policy": {"kind": "inverse-latency", "threshold": 0.05},
+                   "gain": 0.3},
+    "seed": 0,
+    "max_time": 100000.0,
+}
+
+
 class TestExecutor:
     def test_execute_run_resolves_registry(self):
         result = execute_run(RunSpec("fig1-walkthrough"))
@@ -268,15 +298,59 @@ class TestExecutor:
             True, True, True, False, False,
         ]
 
-    def test_parallel_equals_serial(self):
-        runs = expand_grid(
-            "quickstart",
-            grid={"seed": [0, 1, 2]},
-            base={"workload.operations_per_client": 3},
-        )
-        serial = execute_many(runs, workers=1)
-        parallel = execute_many(runs, workers=3)
+    @pytest.mark.parametrize("case", ["quickstart", "depth-sensitive"])
+    def test_parallel_equals_serial(self, case):
+        if case == "quickstart":
+            runs = expand_grid(
+                "quickstart",
+                grid={"seed": [0, 1, 2]},
+                base={"workload.operations_per_client": 3},
+            )
+        else:
+            name = register_spec(
+                ScenarioSpec.from_dict(DEPTH_SENSITIVE_SPEC)).name
+            runs = expand_grid(name, grid={"seed": [0, 1]})
+        try:
+            serial = execute_many(runs, workers=1)
+            parallel = execute_many(runs, workers=len(runs))
+        finally:
+            unregister(DEPTH_SENSITIVE_SPEC["name"])
         assert dumps_json(serial) == dumps_json(parallel)
+
+    def test_pinned_threads_end_with_their_callers(self):
+        def pinned_threads():
+            return {thread for thread in threading.enumerate()
+                    if thread.name == "repro-stable-stack"}
+
+        before = pinned_threads()
+        callers = [threading.Thread(target=run_with_stable_stack, args=(int,))
+                   for _ in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(20.0)
+        assert not any(thread.is_alive() for thread in callers)
+        deadline = time.monotonic() + 10.0
+        while pinned_threads() - before and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not pinned_threads() - before
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="POSIX timer")
+    def test_interrupted_call_leaves_the_next_call_its_own_result(self):
+        # A signal handler raising in the caller abandons a call that keeps
+        # running; the caller's next call must not receive its result.
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.1)
+            with pytest.raises(KeyboardInterrupt):
+                run_with_stable_stack(time.sleep, 0.5)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert run_with_stable_stack(int, "7") == 7
 
     def test_results_preserve_input_order(self):
         runs = expand_grid("quickstart", grid={"seed": [5, 1, 3]},

@@ -426,11 +426,6 @@ class TestTraceCLI:
                      "-p", "workload.operations_per_client=3"]) == 0
         return str(trace)
 
-    def test_legacy_trace_file_still_summarises(self, traced_run, capsys):
-        assert main(["trace", traced_run]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["records"] > 0 and "digest" in payload
-
     def test_check_passes_and_writes_report(self, traced_run, tmp_path, capsys):
         report_path = tmp_path / "check.json"
         assert main(["trace", "check", traced_run, "--quiet",

@@ -9,8 +9,8 @@ The contract under test:
   limit) gives the same result observed as plain; the ``event-loop`` /
   ``event-loop-obs`` benchmark twins do identical work.
 * **Determinism** — traces are byte-stable across repeats, hash seeds, and
-  serial vs parallel execution (for churn-free runs; see ARCHITECTURE.md on
-  the weight-gain-refresh caveat).
+  serial vs parallel execution (churn-heavy runs included: every executed
+  run starts from the executor's pinned stack).
 * **Golden digest** — ``fig1-walkthrough``'s trace digest is pinned in
   ``benchmarks/baselines/fig1-walkthrough.trace.sha256``.
 """
@@ -279,7 +279,8 @@ class TestCliTracing:
                      "--quiet"]) == 0
         capsys.readouterr()
         chrome = tmp_path / "chrome.json"
-        assert main(["trace", str(path), "--export", str(chrome)]) == 0
+        assert main(["trace", "summary", str(path), "--export",
+                     str(chrome)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["records"] == len(read_trace(str(path)))
         assert summary["digest"] == trace_digest(read_trace(str(path)))
@@ -289,17 +290,12 @@ class TestCliTracing:
     def test_trace_subcommand_rejects_corrupt_files(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"nope": true}\n')
-        assert main(["trace", str(path)]) == 2
+        assert main(["trace", "summary", str(path)]) == 2
         assert "invalid trace record" in capsys.readouterr().err
 
     def test_sweep_trace_dir_serial_equals_parallel(self, tmp_path):
-        # transfers=[] keeps the run churn-free: with the dynamic flavour's
-        # default transfers the weight-gain refresh recursion aborts at a
-        # stack-depth-dependent point, which is the one known source of
-        # trace nondeterminism (see ARCHITECTURE.md).
         def sweep(workers, out_dir):
-            args = ["sweep", "quickstart", "--seeds", "0,1", *FAST,
-                    "-p", "transfers=[]", "--quiet",
+            args = ["sweep", "quickstart", "--seeds", "0,1", *FAST, "--quiet",
                     "--workers", str(workers), "--trace-dir", str(out_dir)]
             assert main(args) == 0
 

@@ -111,6 +111,7 @@ class TestOracleWeightReassignment:
             assert created.delta == 1.5
             after_first = await oracle.read_changes("s1")
             assert after_first.weight_of("s1") == pytest.approx(2.5)
+            assert Change("s1", 2, "s1", 1.5) in after_first
             # s3 tries to take 0.5 from s2: the f=1 heaviest (s1 at 2.5) would
             # reach half of the new total (5.0 - 0.5)/2 = 2.25 < 2.5 -> abort.
             aborted = await oracle.reassign("s3", "s2", -0.5)
@@ -121,6 +122,8 @@ class TestOracleWeightReassignment:
         final = loop.run_until_complete(go())
         assert final.weight_of("s2") == pytest.approx(1.0)
         assert Change("s3", 2, "s2", 0.0) in final
+        for record in oracle.trace:
+            assert check_integrity(record.weights_after, config.f)
 
 
 class TestOraclePairwiseReassignment:

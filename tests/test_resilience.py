@@ -669,3 +669,48 @@ class TestSweepCli:
         assert main(args + ["--json", ref]) == 0  # sentinel now exists
         with open(ref, "rb") as a, open(out, "rb") as b:
             assert a.read() == b.read()
+
+    def test_sigterm_ends_a_journaled_sweep_while_its_run_is_blocked(
+        self, tmp_path
+    ):
+        # The run executes on the executor's pinned thread and never
+        # returns; the signal must still end the sweep at once, with the
+        # resumable status, rather than wait for the run.  That thread is a
+        # daemon, so the blocked run cannot hold the process open at exit.
+        script = textwrap.dedent("""
+            import os, sys, threading, time
+            from repro.experiments.cli import main
+            from repro.experiments.registry import FunctionScenario, register
+
+            def block(seed=0):
+                daemon = threading.current_thread().daemon
+                with open(os.path.join(sys.argv[1], "started"), "w") as out:
+                    out.write(str(daemon))
+                time.sleep(120)
+                return {"seed": seed}
+
+            register(FunctionScenario(block, name="resilience-block"))
+            journal = os.path.join(sys.argv[1], "journal.jsonl")
+            sys.exit(main(["sweep", "resilience-block", "--seeds", "0",
+                           "--journal", journal, "--quiet", "--no-progress"]))
+        """)
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, str(tmp_path)],
+            stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            started = tmp_path / "started"
+            while not (started.exists() and started.read_text()):
+                assert child.poll() is None, "sweep exited before its run"
+                assert time.monotonic() < deadline, "run never started"
+                time.sleep(0.05)
+            child.send_signal(signal.SIGTERM)
+            _, stderr = child.communicate(timeout=20.0)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+        assert child.returncode == INTERRUPT_EXIT_CODE
+        assert "interrupted (SIGTERM)" in stderr
+        assert started.read_text() == "True"

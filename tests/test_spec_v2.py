@@ -3,7 +3,7 @@
 Covers the acceptance surface of the Spec v2 redesign:
 
 * per-section serialization round trips (``to_dict``/``from_dict`` inverses),
-* unknown-key rejection and the ``failures`` → ``faults`` deprecation shim,
+* unknown-key rejection,
 * dotted-path flatten/expand inverses shared by every section,
 * ``validate()`` catching semantic problems without building anything,
 * the declarative :class:`MonitoringSpec` reproducing the imperative
@@ -27,7 +27,6 @@ from repro.experiments.sections import SpecSection, unflatten
 from repro.experiments.spec import (
     ArrivalSpec,
     ClusterSpec,
-    FailureSpec,
     FaultSpec,
     KeySpec,
     LatencySpec,
@@ -164,32 +163,6 @@ class TestFlattenExpand:
         defaults = get_scenario("quickstart").defaults
         assert "monitoring.policy.threshold" in defaults
         assert "faults.crashes" in defaults
-
-
-class TestDeprecationShim:
-    def test_failure_spec_is_fault_spec(self):
-        assert FailureSpec is FaultSpec
-        assert FailureSpec(crashes=(("s1", 2.0),)).crashes == (("s1", 2.0),)
-
-    def test_failures_key_aliases_to_faults_in_from_dict(self):
-        spec = ScenarioSpec.from_dict(
-            {"name": "t", "failures": {"crashes": [["s5", 4.0]]}}
-        )
-        assert spec.faults.crashes == (("s5", 4.0),)
-
-    def test_failures_path_aliases_in_overrides(self):
-        spec = ScenarioSpec(name="t").with_overrides(
-            {"failures.crashes": [["s5", 4.0]]}
-        )
-        assert spec.faults.crashes == (("s5", 4.0),)
-
-    def test_alias_and_canonical_key_together_rejected(self):
-        with pytest.raises(ConfigurationError, match="duplicate key"):
-            ScenarioSpec.from_dict({
-                "name": "t",
-                "failures": {"crashes": [["s1", 1.0]]},
-                "faults": {"crashes": [["s2", 1.0]]},
-            })
 
 
 class TestValidate:
